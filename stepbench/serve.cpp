@@ -8,12 +8,14 @@
 // differ between instances and their luck averages out): each serves an
 // open-loop Poisson segment at a fixed rate below saturation (latency timed
 // from each request's due time) and then drains a preloaded burst
-// (saturated throughput). Every response is then checked bitwise against a
-// single-rank forward of the same checkpoint.
+// (saturated throughput), kRounds times in an untraced run. Every response
+// is then checked bitwise against a single-rank forward of the same
+// checkpoint.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <future>
 #include <map>
 #include <sstream>
@@ -48,7 +50,11 @@ constexpr int kPool = 256;       ///< distinct request samples, cycled
 constexpr int kFleets = 4;       ///< fleet instances per run
 constexpr int kWarmup = 64;      ///< requests each fleet serves before timing
 constexpr double kRate = 250.0;  ///< open-loop arrival rate, requests/s
-constexpr int kBurst = 2048;     ///< preloaded requests per fleet
+constexpr int kBurst = 2048;     ///< preloaded requests per burst
+/// Rounds of (open-loop segment, burst) per fleet in an untraced run. A
+/// burst drains in about 0.35 s, so rounds spread the bursts over the run
+/// instead of sampling the host's speed at four moments.
+constexpr int kRounds = 4;
 /// Greedy batching (dispatch whatever is queued once a replica is free) and
 /// no double-buffered prefetch: no batcher timer and no progress-engine op
 /// enters the latency.
@@ -236,17 +242,20 @@ bool well_formed(const std::vector<serve::Prediction>& t) {
   return true;
 }
 
+int rounds(const Options& opt) { return opt.trace ? 1 : kRounds; }
+
 /// Everything one fleet instance served.
 struct Fleet {
-  Phase warm, open, open_traced, burst;
+  Phase warm, open_traced;
+  std::vector<Phase> open, burst;  ///< one of each per round
   StageSums open_stages, burst_stages;  ///< traced runs only
   int thread_budget = 0;
   std::string error;
 };
 
-/// Drives one fleet instance: build it, warm it up, then the open-loop
-/// segment (untraced, and with --trace 1 a traced one after it) and the
-/// burst. `on_warm` runs once the warm-up has completed.
+/// Drives one fleet instance: build it, warm it up, then each round's
+/// open-loop segment (untraced, and with --trace 1 a traced one after it)
+/// and burst. `on_warm` runs once the warm-up has completed.
 class FleetRunner {
  public:
   FleetRunner(const Options& opt, const std::string& blob,
@@ -271,16 +280,41 @@ class FleetRunner {
     fm.replicas = kReplicas;
     router.add_model(std::move(fm));
 
+    // The replicas run on a thread of their own; the client runs on the
+    // caller's thread, the same one for every fleet, so each fleet's
+    // requests reuse the heap the previous fleet's requests freed.
     std::promise<void> fleet_up;
-    std::shared_future<void> up = fleet_up.get_future().share();
-    std::thread client([&] {
+    std::atomic<bool> released{false};
+    std::atomic<bool> server_failed{false};
+    std::exception_ptr server_error;
+    std::thread server([&] {
       try {
-        up.wait();
+        comm::World world(router.total_ranks());
+        world.run([&](comm::Comm& comm) {
+          if (comm.rank() == 0) fleet.thread_budget = parallel::num_threads();
+          if (!released.exchange(true)) fleet_up.set_value();
+          router.serve(comm);
+        });
+      } catch (...) {
+        server_error = std::current_exception();
+        server_failed = true;
+      }
+      if (!released.exchange(true)) fleet_up.set_value();
+    });
+    fleet_up.get_future().wait();
+    if (!server_failed) {
+      try {
         burst(router, fleet.warm, kWarmup);
         on_warm();
         if (opt_.trace) obs::metrics::set_enabled(false);
-        open_loop(router, fleet.open);
-        if (opt_.trace) {
+        fleet.open.resize(rounds(opt_));
+        fleet.burst.resize(rounds(opt_));
+        for (int i = 0; i < rounds(opt_); ++i) {
+          open_loop(router, fleet.open[i]);
+          if (!opt_.trace) {
+            burst(router, fleet.burst[i], kBurst);
+            continue;
+          }
           obs::metrics::set_enabled(true);
           const StageSums s0 = stage_sums();
           {
@@ -290,33 +324,28 @@ class FleetRunner {
           const StageSums s1 = stage_sums();
           {
             ScopedSpan span(log, "serve.burst");
-            burst(router, fleet.burst, kBurst);
+            burst(router, fleet.burst[i], kBurst);
           }
           fleet.open_stages = s1 - s0;
           fleet.burst_stages = stage_sums() - s1;
-        } else {
-          burst(router, fleet.burst, kBurst);
         }
       } catch (const std::exception& e) {
         fleet.error = e.what();
       }
-      router.shutdown();
-    });
-
-    comm::World world(router.total_ranks());
-    std::atomic<bool> released{false};
-    world.run([&](comm::Comm& comm) {
-      if (comm.rank() == 0) fleet.thread_budget = parallel::num_threads();
-      if (!released.exchange(true)) fleet_up.set_value();
-      router.serve(comm);
-    });
-    client.join();
+    }
+    router.shutdown();
+    server.join();
+    if (server_error != nullptr) std::rethrow_exception(server_error);
   }
 
  private:
-  void submit(serve::Router& router, Phase& ph, Request& r) {
+  /// Picks the request's sample and copies it, as a client would hold it.
+  Tensor<float> next_sample(Request& r) {
     r.sample = next_sample_++ % kPool;
-    Tensor<float> copy = pool_[r.sample];
+    return pool_[r.sample];
+  }
+
+  void submit(serve::Router& router, Phase& ph, Request& r, Tensor<float> copy) {
     r.submitted = Clock::now();
     try {
       r.fut = router.submit(kTag, std::move(copy));
@@ -344,17 +373,23 @@ class FleetRunner {
       Request& r = ph.reqs[i];
       r.due = t0 + std::chrono::duration_cast<Clock::duration>(
                        std::chrono::duration<double>(offsets_[i]));
+      Tensor<float> copy = next_sample(r);
       std::this_thread::sleep_until(r.due);
-      submit(router, ph, r);
+      submit(router, ph, r, std::move(copy));
     }
     settle(ph);
   }
 
+  /// Every sample is copied before the first submit, so the whole burst is
+  /// resident at once whatever the replicas drain while it is queued.
   void burst(serve::Router& router, Phase& ph, int count) {
     ph.reqs.resize(count);
-    for (auto& r : ph.reqs) {
-      submit(router, ph, r);
-      r.due = r.submitted;
+    std::vector<Tensor<float>> copies;
+    copies.reserve(ph.reqs.size());
+    for (auto& r : ph.reqs) copies.push_back(next_sample(r));
+    for (std::size_t i = 0; i < ph.reqs.size(); ++i) {
+      submit(router, ph, ph.reqs[i], std::move(copies[i]));
+      ph.reqs[i].due = ph.reqs[i].submitted;
     }
     settle(ph);
   }
@@ -419,8 +454,9 @@ Result run_serving(const Options& opt) {
   }
   const double generate_ms = ms_between(gen_t0, Clock::now());
 
-  // Open-loop schedule of each fleet's segment: Poisson arrivals at kRate.
-  const double open_s = (opt.trace ? 0.4 : 0.8) * opt.seconds / kFleets;
+  // Open-loop schedule of each segment: Poisson arrivals at kRate.
+  const double open_s =
+      (opt.trace ? 0.4 : 0.75) * opt.seconds / (kFleets * rounds(opt));
   const int n_open = std::max(1, static_cast<int>(kRate * open_s));
   std::vector<double> offsets(n_open);
   Rng rng(opt.seed, 7);
@@ -451,7 +487,11 @@ Result run_serving(const Options& opt) {
   const Request* sample_ok = nullptr;
   for (const Fleet& fleet : fleets) {
     if (!fleet.error.empty()) res.checks.expect("fleet client ran to its end", false, fleet.error);
-    for (const Phase* ph : {&fleet.warm, &fleet.open, &fleet.open_traced, &fleet.burst}) {
+    std::vector<const Phase*> phases = {&fleet.warm, &fleet.open_traced};
+    for (const auto* group : {&fleet.open, &fleet.burst}) {
+      for (const Phase& ph : *group) phases.push_back(&ph);
+    }
+    for (const Phase* ph : phases) {
       submitted += static_cast<std::int64_t>(ph->reqs.size());
       failed += ph->failed;
       if (ph != &fleet.warm) attempted += static_cast<std::int64_t>(ph->reqs.size());
@@ -495,24 +535,36 @@ Result run_serving(const Options& opt) {
   res.failed = failed;
 
   // --- metrics -----------------------------------------------------------------
-  std::vector<double> open_lat, rates;
+  // Latency quantiles are taken per open-loop segment and their median
+  // reported, so a stretch of a run in which the host is slow moves them
+  // only when it covers half the segments.
+  std::vector<double> open_lat, seg_p50, seg_p90, rates;
+  std::string rate_list;
   for (const Fleet& fleet : fleets) {
-    add_latencies(fleet.open, open_lat);
-    rates.push_back(drain_rate(fleet.burst));
+    for (const Phase& ph : fleet.open) {
+      std::vector<double> lat;
+      add_latencies(ph, lat);
+      seg_p50.push_back(quantile(lat, 0.5));
+      seg_p90.push_back(quantile(lat, 0.9));
+      open_lat.insert(open_lat.end(), lat.begin(), lat.end());
+    }
+    for (const Phase& ph : fleet.burst) {
+      rates.push_back(drain_rate(ph));
+      rate_list += " " + std::to_string(static_cast<int>(rates.back()));
+    }
   }
   std::snprintf(buf, sizeof(buf),
-                "%d fleets x %d open-loop requests at %.0f/s: p50 %.3f p90 %.3f "
-                "p99 %.3f ms; burst drain rates %.0f %.0f %.0f %.0f /s",
-                kFleets, n_open, kRate, quantile(open_lat, 0.5),
-                quantile(open_lat, 0.9), quantile(open_lat, 0.99), rates[0],
-                rates[1], rates[2], rates[3]);
-  res.notes.push_back(buf);
+                "%d fleets x %d rounds x %d open-loop requests at %.0f/s: p50 "
+                "%.3f p90 %.3f p99 %.3f ms; burst drain rates (/s):",
+                kFleets, rounds(opt), n_open, kRate, quantile(open_lat, 0.5),
+                quantile(open_lat, 0.9), quantile(open_lat, 0.99));
+  res.notes.push_back(buf + rate_list);
 
   if (!opt.trace) {
     res.metrics = {
         {"setup_s", setup_s, "s"},
-        {"latency_p50_ms", quantile(open_lat, 0.5), "ms"},
-        {"latency_p90_ms", quantile(open_lat, 0.9), "ms"},
+        {"latency_p50_ms", median(seg_p50), "ms"},
+        {"latency_p90_ms", median(seg_p90), "ms"},
         {"throughput_per_s", median(rates), "1/s"},
         {"peak_rss_mb", rss_mb, "MB"},
     };

@@ -30,6 +30,10 @@ using namespace distconv;
 namespace {
 
 constexpr int kWarmupSteps = 3;
+/// Trainer steps of the loss check's own run. The timed loop's step count
+/// follows the host's speed, and the loss first rises for a few steps on
+/// some seeds (momentum), so the check runs a fixed count instead.
+constexpr int kLossCheckSteps = 24;
 /// Model instances per run that share the timed seconds.
 constexpr int kInstances = 5;
 /// Tolerances of the one-step comparison against the single-rank run: loss
@@ -336,6 +340,23 @@ std::vector<float> as_vector(const Tensor<float>& t) {
   return std::vector<float>(t.data(), t.data() + t.size());
 }
 
+/// Batch-0 losses of a fresh model trained kLossCheckSteps Trainer steps on
+/// the workload's grid, in step order.
+std::vector<double> batch0_losses(const Workload& w, std::uint64_t seed) {
+  std::vector<double> out;
+  comm::World world(kRanks);
+  world.run([&](comm::Comm& comm) {
+    core::Model model(w.spec, comm, w.strategy, seed);
+    core::Trainer trainer(model, core::TrainerOptions{w.sgd, 1});
+    for (int s = 0; s < kLossCheckSteps; ++s) {
+      const std::size_t b = static_cast<std::size_t>(s) % w.batches.size();
+      const double loss = trainer_step(trainer, w, w.batches[b]);
+      if (comm.rank() == 0 && b == 0) out.push_back(loss);
+    }
+  });
+  return out;
+}
+
 void correctness_runs(const Workload& w, const Options& opt, Result& res) {
   const OneStep dist = one_step(w, w.strategy, kRanks, opt.seed);
   const OneStep single = one_step(
@@ -358,6 +379,14 @@ void correctness_runs(const Workload& w, const Options& opt, Result& res) {
                    as_vector(dist.output), as_vector(single.output), tol.output);
   compare_update(checks, "one-step parameters vs single rank", dist.params,
                  single.params, single.params_before, tol.update);
+
+  // Loss on batch 0 after a fixed number of steps against its first value.
+  const std::vector<double> losses = batch0_losses(w, opt.seed);
+  const double first = losses.front(), last = losses.back();
+  std::snprintf(buf, sizeof(buf), "batch-0 loss %.6g -> %.6g after %d Trainer steps",
+                first, last, kLossCheckSteps);
+  checks.expect("loss decreased", std::isfinite(last) && last < first, buf);
+  checks.control("loss decreased", !(first < last));
 
   // One conv layer against the benchmark's own direct convolution.
   const int layer = models::layer_index(w.spec, w.check_layer);
@@ -407,8 +436,6 @@ Result run_training(const Options& opt) {
   std::vector<SpanLog> logs(kRanks);
   double setup_s = 0, loop_s = 0, rss_mb = 0;
   bool replicated = true, replicated_control = true;
-  bool loss_ok = true, loss_control = true;
-  std::string loss_detail;
   std::vector<std::size_t> instance_end;  ///< step_ms size after each instance
   if (opt.trace) obs::metrics::reset();
 
@@ -416,7 +443,6 @@ Result run_training(const Options& opt) {
     if (opt.trace) obs::metrics::set_enabled(false);
     std::vector<std::uint64_t> param_hash(kRanks);
     std::uint64_t perturbed_hash = 0;
-    std::vector<std::pair<int, double>> losses;  // (batch index, loss), rank 0
     comm::World world(kRanks);
     world.run([&](comm::Comm& comm) {
       const int rank = comm.rank();
@@ -426,12 +452,9 @@ Result run_training(const Options& opt) {
       const auto next_batch = [&] {
         return static_cast<std::size_t>(step++ % w.batches.size());
       };
-      const auto record_loss = [&](std::size_t b, double loss) {
-        if (rank == 0) losses.emplace_back(static_cast<int>(b), loss);
-      };
       for (int i = 0; i < kWarmupSteps; ++i) {
         const std::size_t b = next_batch();
-        record_loss(b, trainer_step(trainer, w, w.batches[b]));
+        trainer_step(trainer, w, w.batches[b]);
       }
       comm::barrier(comm);
       if (rank == 0 && inst == 0) {
@@ -445,9 +468,8 @@ Result run_training(const Options& opt) {
       while (keep_going(comm, loop_t0, timed_s)) {
         const std::size_t b = next_batch();
         const auto t0 = Clock::now();
-        const double loss = trainer_step(trainer, w, w.batches[b]);
+        trainer_step(trainer, w, w.batches[b]);
         step_ms[rank].push_back(ms_between(t0, Clock::now()));
-        record_loss(b, loss);
       }
       if (rank == 0) {
         loop_s += seconds_since(loop_t0);
@@ -468,9 +490,8 @@ Result run_training(const Options& opt) {
           {
             ScopedSpan span(log, "core.step", step - 1);
             const auto t0 = Clock::now();
-            const double loss = trainer_step(trainer, w, w.batches[b]);
+            trainer_step(trainer, w, w.batches[b]);
             traced_ms[rank].push_back(ms_between(t0, Clock::now()));
-            record_loss(b, loss);
           }
           tail_ms[rank].push_back(model.last_grad_completion_seconds() * 1e3);
           comm::barrier(comm);  // line the ranks up for the next step
@@ -478,7 +499,7 @@ Result run_training(const Options& opt) {
           double f = 0, g = 0, s = 0;
           {
             ScopedSpan span(log, "core.step.calls", step - 1);
-            record_loss(b, manual_step(model, w, w.batches[b], log, &f, &g, &s));
+            manual_step(model, w, w.batches[b], log, &f, &g, &s);
           }
           fwd_ms[rank].push_back(f);
           bwd_ms[rank].push_back(g);
@@ -516,23 +537,6 @@ Result run_training(const Options& opt) {
       replicated = replicated && param_hash[r] == param_hash[0];
     }
     replicated_control = replicated_control && perturbed_hash != param_hash[1];
-
-    // Loss on batch 0 after the timed steps against its first-step value.
-    double first = 0, last = 0;
-    bool seen = false;
-    for (const auto& [b, loss] : losses) {
-      if (b != 0) continue;
-      if (!seen) first = loss;
-      seen = true;
-      last = loss;
-    }
-    loss_ok = loss_ok && std::isfinite(last) && last < first;
-    loss_control = loss_control && !(first < last);
-    char buf[120];
-    std::snprintf(buf, sizeof(buf), "%s%.6g -> %.6g (%zu steps)",
-                  inst ? "; " : "batch-0 loss per instance: ", first, last,
-                  losses.size());
-    loss_detail += buf;
   }
 
   res.ran = true;
@@ -546,8 +550,6 @@ Result run_training(const Options& opt) {
                                : "hashes differ");
   res.checks.control("replicated parameters bitwise identical across ranks",
                      replicated_control);
-  res.checks.expect("loss decreased", loss_ok, loss_detail);
-  res.checks.control("loss decreased", loss_control);
 
   correctness_runs(w, opt, res);
 
